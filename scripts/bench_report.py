@@ -11,7 +11,10 @@ be taken on every PR:
 * ``simulation_event_rate``: a full flit-level simulation (4x4 torus,
   IQ routers, 30% load) -- the headline model-layer metric; wall time
   includes network construction, matching the benchmarks/ methodology.
-* ``simulation_event_rate_folded_clos``: the same metric on a scaled
+  Recorded as events/s and as delivered flits/s: the event count is an
+  implementation detail (fewer events per flit is an optimisation),
+  delivered flits are fixed by the simulated workload.
+* ``simulation_event_rate_folded_clos``: the same metrics on a scaled
   folded-Clos / OQ-router / adaptive-routing workload (case study A).
 * ``sweep_worker_scaling`` (``--sweep``): a 16-job sweep at workers=1
   vs workers=4, verifying identical rows and recording both wall times.
@@ -27,7 +30,9 @@ Usage::
                                                   [--skip-sim]
 
 Each measurement appends one entry to ``BENCH_engine.json`` at the repo
-root; the best (minimum) time over ``--rounds`` is reported.
+root, stamped with the host fingerprint (CPU model, core count, Python
+version and build) so that only entries from the same host are
+compared; the best (minimum) time over ``--rounds`` is reported.
 """
 
 from __future__ import annotations
@@ -45,10 +50,18 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT))
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from perfbench.run import IDENTITY, fingerprint  # noqa: E402
 from repro.core.simulator import Simulator  # noqa: E402
 from repro.tools.sssweep import Sweep  # noqa: E402
 
 BENCH_FILE = REPO_ROOT / "BENCH_engine.json"
+
+
+def host_fingerprint() -> dict:
+    """Identity of the host and interpreter a measurement ran on: the
+    fields two perfbench results must share to be compared."""
+    host = fingerprint()
+    return {key: host[key] for key in IDENTITY}
 
 
 def record(name: str, payload: dict) -> None:
@@ -67,6 +80,7 @@ def record(name: str, payload: dict) -> None:
             "source": "scripts/bench_report.py",
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
+            "host": host_fingerprint(),
             **payload,
         }
     )
@@ -128,7 +142,9 @@ def _simulation_workloads():
 
 
 def _timed_simulation(config: dict, max_time: int):
-    """One timed build+run, isolated from process-global packet ids.
+    """One timed build+run: ``(seconds, events, delivered flits)``.
+
+    Isolated from process-global packet ids.
 
     Packet ids feed routing decisions (see ``repro.lint.graph``), so the
     counter is restored after each round: every round then simulates the
@@ -146,14 +162,15 @@ def _timed_simulation(config: dict, max_time: int):
         )
         simulation.run(max_time=max_time)
         elapsed = time.perf_counter() - start
-        return elapsed, simulation.simulator.executed_events
+        flits = sum(i.flits_ejected for i in simulation.network.interfaces)
+        return elapsed, simulation.simulator.executed_events, flits
 
 
 def bench_simulation_rate(rounds: int) -> None:
     for name, config, max_time in _simulation_workloads():
-        best, events = min(
+        best, events, flits = min(
             (_timed_simulation(config, max_time) for _ in range(rounds)),
-            key=lambda pair: pair[0],
+            key=lambda run: run[0],
         )
         rate = events / best
         record(
@@ -162,12 +179,14 @@ def bench_simulation_rate(rounds: int) -> None:
                 "events": events,
                 "seconds": best,
                 "events_per_sec": rate,
+                "flits": flits,
+                "flits_per_sec": flits / best,
                 "max_time": max_time,
                 "rounds": rounds,
             },
         )
-        print(f"{name}: {events} events in {best:.2f} s "
-              f"({rate / 1000:.0f}k events/s)")
+        print(f"{name}: {events} events, {flits} flits in {best:.2f} s "
+              f"({rate / 1000:.0f}k events/s, {flits / best:.0f} flits/s)")
 
 
 def _scaling_sweep() -> Sweep:

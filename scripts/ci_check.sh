@@ -86,9 +86,10 @@ else
         python scripts/partition_gate.py
 fi
 
-# 8. Perf-regression smoke: simulation_event_rate must stay within 25%
-#    of the latest BENCH_engine.json entry.  SUPERSIM_SKIP_PERF=1 opts
-#    out on machines not comparable to the recorded history.
+# 8. Perf-regression smoke: simulation_event_rate's delivered flits/s
+#    must stay within 25% of the latest BENCH_engine.json entry recorded
+#    on this host (passes when there is none).  SUPERSIM_SKIP_PERF=1
+#    opts out.
 if [ "${SUPERSIM_SKIP_PERF:-0}" != "0" ]; then
     skip_gate "perf smoke (simulation_event_rate)" "SUPERSIM_SKIP_PERF set"
 else

@@ -115,6 +115,7 @@ class Simulator:
         "_components",
         "_observers",
         "_sanitizer",
+        "delivery_wheel",
     )
 
     #: compaction threshold: compact when at least this many entries are
@@ -140,6 +141,9 @@ class Simulator:
         # never per event.  When set, run() routes through the
         # instrumented executer so the suite sees every event.
         self._sanitizer = None
+        # The channels' network-wide delivery wheel
+        # (repro.net.channel.DeliveryWheel), created by the first channel.
+        self.delivery_wheel = None
 
     # -- time ---------------------------------------------------------------
 

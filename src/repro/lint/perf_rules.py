@@ -82,7 +82,6 @@ HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
         "_step": 4.0,           # drain + route + allocate + crossbar
         "receive_flit": 1.0,    # one per flit-hop
         "receive_credit": 1.0,  # one per returned credit
-        "_core_arrival": 1.0,   # flit lands in output staging
         "send_flit_out": 1.0,
         "send_credit": 1.0,
     },
@@ -96,9 +95,11 @@ HEAT_ENTRIES: Dict[str, Dict[str, float]] = {
     "channel": {
         "send_flit": 1.0,
         "send_credit": 1.0,
-        "_deliver": 1.0,
-        "_deliver_batch": 1.0,  # one per busy-tick per channel
-        "_deliver_item": 1.0,   # per-item hook inside the batch
+        "_deliver_item": 1.0,   # per-item landing hook
+    },
+    "wheel": {
+        "land": 2.0,            # lands every flit and credit of a tick
+        "add": 1.0,             # one per busy tick per channel
     },
     "sensor": {
         "record": 2.0,          # every credit take/give reports here
@@ -685,9 +686,10 @@ def _model_bases() -> Dict[str, type]:
 
 
 def _framework_classes() -> List[Tuple[str, type]]:
-    from repro.net.channel import Channel, CreditChannel
+    from repro.net.channel import Channel, CreditChannel, DeliveryWheel
 
-    return [("channel", Channel), ("channel", CreditChannel)]
+    return [("channel", Channel), ("channel", CreditChannel),
+            ("wheel", DeliveryWheel)]
 
 
 def analyze_class_perf(cls: type, kind: str) -> List[PerfHazard]:

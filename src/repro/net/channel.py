@@ -12,30 +12,27 @@ High channel latency is a defining property of large-scale networks
 flight.  The channel keeps an utilization count so analyses can report
 channel load.
 
-Delivery is *coalesced* (see ``docs/PERFORMANCE.md``): instead of one
-heap event per item in flight, each channel keeps an in-flight FIFO of
-``(due_tick, item)`` pairs and at most one pending delivery event.  The
-event drains every item due at the current tick, then reschedules
-itself for the next due tick (tracked as the plain int ``_head_due``;
-no Event handle is retained, so the engine freelist stays free to
-recycle).  Dues are nondecreasing by construction -- simulation time is
-monotone and the latency per channel is fixed -- so the FIFO never
-needs sorting.  Heap traffic drops from O(items) to O(busy-ticks per
-channel), and every per-item hook (sanitizers, delivery digests)
-attaches to :meth:`_deliver_item`, which both delivery paths funnel
-through.
-
-The pre-coalescing one-event-per-item path is kept behind
-:func:`set_legacy_delivery` (or ``SUPERSIM_LEGACY_DELIVERY=1`` in the
-environment) so determinism tests can prove the two paths produce
-identical simulations.
+Delivery goes through one network-wide *delivery wheel* per simulator
+(see ``docs/PERFORMANCE.md``): each channel keeps its items on the wire
+as a FIFO of ``(due_tick, item)`` pairs (dues are nondecreasing: time
+is monotone and the latency is fixed), and the wheel maps each due
+tick to the channels with items landing then.  One engine event per
+distinct due tick, at ``(due, EPS_DELIVER)``, lands every flit and
+credit due at the tick, channel by channel.  Heap traffic is
+O(busy ticks) for the whole network instead of O(items) or O(busy
+ticks per channel).  Channels land in the order in which they entered
+the tick's bucket -- when the item was sent onto an idle wire, or when
+the channel's previous due tick landed -- which is the order of the
+former per-channel delivery events, so simulations are unchanged.
+Every per-item hook (sanitizers, delivery digests, shard ingress)
+attaches to :meth:`Channel._deliver_item` /
+:meth:`CreditChannel._deliver_item`, through which every landing goes.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
 from repro.core.component import Component
 from repro.core.event import Event
@@ -47,28 +44,58 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.simulator import Simulator
     from repro.net.device import PortedDevice
 
-#: When True, channels schedule one heap event per item (the
-#: pre-coalescing behaviour).  Channels capture the flag at
-#: construction, so toggle it before building a network.
-_LEGACY_DELIVERY = os.environ.get("SUPERSIM_LEGACY_DELIVERY", "") not in (
-    "", "0", "false", "no",
-)
 
+class DeliveryWheel:
+    """The delivery schedule of every channel of one simulator.
 
-def legacy_delivery_enabled() -> bool:
-    """True when new channels will use the one-event-per-item path."""
-    return _LEGACY_DELIVERY
-
-
-def set_legacy_delivery(enabled: bool) -> bool:
-    """Select the delivery path for channels built from now on.
-
-    Returns the previous setting so tests can restore it.
+    ``buckets`` maps a due tick to the channels with items landing then;
+    whoever opens a bucket schedules the tick's single :meth:`land`
+    event.  A channel enters the bucket of its oldest item's due tick
+    when that item is sent onto an idle wire, or when its previous
+    due tick lands.  Latency is at least one tick, so nothing is ever
+    added to the bucket being landed.
     """
-    global _LEGACY_DELIVERY
-    previous = _LEGACY_DELIVERY
-    _LEGACY_DELIVERY = bool(enabled)
-    return previous
+
+    __slots__ = ("simulator", "buckets", "_spare")
+
+    def __init__(self, simulator: "Simulator"):
+        self.simulator = simulator
+        self.buckets: Dict[int, list] = {}
+        # Landed bucket lists, recycled by add().
+        self._spare: list = []
+
+    @classmethod
+    def of(cls, simulator: "Simulator") -> "DeliveryWheel":
+        """The simulator's wheel, created by its first channel."""
+        wheel = simulator.delivery_wheel
+        if wheel is None:
+            wheel = simulator.delivery_wheel = cls(simulator)
+        return wheel
+
+    def add(self, due: int, channel) -> None:
+        """Put ``channel`` in the bucket of tick ``due``."""
+        bucket = self.buckets.get(due)
+        if bucket is None:
+            spare = self._spare
+            bucket = spare.pop() if spare else []
+            self.buckets[due] = bucket
+            self.simulator.call_at(due, self.land, None, EPS_DELIVER)
+        bucket.append(channel)
+
+    def land(self, event: Event) -> None:
+        """Land every item due now, channel by channel."""
+        tick = self.simulator.tick
+        add = self.add
+        bucket = self.buckets.pop(tick)
+        for channel in bucket:
+            inflight = channel._inflight
+            deliver_item = channel._deliver_item
+            while inflight and inflight[0][0] == tick:
+                deliver_item(inflight.popleft()[1])
+            if inflight:
+                add(inflight[0][0], channel)
+        bucket.clear()
+        self._spare.append(bucket)
 
 
 class ChannelError(RuntimeError):
@@ -105,11 +132,9 @@ class Channel(Component):
         self._sink_port: Optional[int] = None
         self._next_free_tick = 0
         self.flits_carried = 0
-        # Coalesced delivery state: FIFO of (due_tick, flit) plus the due
-        # tick of the one pending delivery event (-1 = none pending).
-        self._inflight = deque()
-        self._head_due = -1
-        self._legacy = _LEGACY_DELIVERY
+        # (due_tick, flit) pairs on the wire, oldest first.
+        self._inflight: Deque[Tuple[int, Flit]] = deque()
+        self._wheel = DeliveryWheel.of(simulator)
 
     def connect_sink(self, sink: "PortedDevice", port: int) -> None:
         if self._sink is not None:
@@ -134,7 +159,7 @@ class Channel(Component):
         return max(self._next_free_tick, self.simulator.tick)
 
     def inflight_items(self) -> int:
-        """Items currently on the wire (either delivery path)."""
+        """Flits currently on the wire."""
         return len(self._inflight)
 
     def send_flit(self, flit: Flit) -> None:
@@ -150,36 +175,10 @@ class Channel(Component):
         self._next_free_tick = now + self.period
         self.flits_carried += 1
         due = now + self.latency
-        if self._legacy:
-            self._inflight.append((due, flit))
-            self.simulator.call_at(due, self._deliver, data=flit, epsilon=EPS_DELIVER)
-            return
-        self._inflight.append((due, flit))
-        if self._head_due < 0:
-            self._head_due = due
-            self.simulator.call_at(
-                due, self._deliver_batch, epsilon=EPS_DELIVER
-            )
-
-    def _deliver(self, event: Event) -> None:
-        # Legacy one-event-per-item path (see module docstring).
-        self._inflight.popleft()
-        self._deliver_item(event.data)
-
-    def _deliver_batch(self, event: Event) -> None:
         inflight = self._inflight
-        now = self.simulator.tick
-        deliver_item = self._deliver_item
-        while inflight and inflight[0][0] == now:
-            deliver_item(inflight.popleft()[1])
-        if inflight:
-            due = inflight[0][0]
-            self._head_due = due
-            self.simulator.call_at(
-                due, self._deliver_batch, epsilon=EPS_DELIVER
-            )
-        else:
-            self._head_due = -1
+        inflight.append((due, flit))
+        if len(inflight) == 1:
+            self._wheel.add(due, self)
 
     def _deliver_item(self, flit: Flit) -> None:
         """Hand one landed flit to the sink (sanitizer hookpoint)."""
@@ -197,8 +196,8 @@ class CreditChannel(Component):
     """A unidirectional credit link with latency (no pacing).
 
     Several credits may be sent within one tick (different VCs of the
-    same link free slots in the same cycle); the coalesced path delivers
-    all of them from a single event.
+    same link free slots in the same cycle); they land together, with
+    everything else due at their tick, from the wheel's single event.
     """
 
     #: see :attr:`Channel.shard_proxy`.
@@ -218,9 +217,9 @@ class CreditChannel(Component):
         self._sink: Optional["PortedDevice"] = None
         self._sink_port: Optional[int] = None
         self.credits_carried = 0
-        self._inflight = deque()
-        self._head_due = -1
-        self._legacy = _LEGACY_DELIVERY
+        # (due_tick, credit) pairs on the wire, oldest first.
+        self._inflight: Deque[Tuple[int, Credit]] = deque()
+        self._wheel = DeliveryWheel.of(simulator)
 
     def connect_sink(self, sink: "PortedDevice", port: int) -> None:
         if self._sink is not None:
@@ -237,7 +236,7 @@ class CreditChannel(Component):
         return self._sink_port
 
     def inflight_items(self) -> int:
-        """Credits currently on the wire (either delivery path)."""
+        """Credits currently on the wire."""
         return len(self._inflight)
 
     def send_credit(self, credit: Credit) -> None:
@@ -245,38 +244,10 @@ class CreditChannel(Component):
             raise ChannelError(f"{self.full_name}: no sink connected")
         self.credits_carried += 1
         due = self.simulator.tick + self.latency
-        if self._legacy:
-            self._inflight.append((due, credit))
-            self.simulator.call_at(
-                due, self._deliver, data=credit, epsilon=EPS_DELIVER
-            )
-            return
-        self._inflight.append((due, credit))
-        if self._head_due < 0:
-            self._head_due = due
-            self.simulator.call_at(
-                due, self._deliver_batch, epsilon=EPS_DELIVER
-            )
-
-    def _deliver(self, event: Event) -> None:
-        # Legacy one-event-per-item path (see module docstring).
-        self._inflight.popleft()
-        self._deliver_item(event.data)
-
-    def _deliver_batch(self, event: Event) -> None:
         inflight = self._inflight
-        now = self.simulator.tick
-        deliver_item = self._deliver_item
-        while inflight and inflight[0][0] == now:
-            deliver_item(inflight.popleft()[1])
-        if inflight:
-            due = inflight[0][0]
-            self._head_due = due
-            self.simulator.call_at(
-                due, self._deliver_batch, epsilon=EPS_DELIVER
-            )
-        else:
-            self._head_due = -1
+        inflight.append((due, credit))
+        if len(inflight) == 1:
+            self._wheel.add(due, self)
 
     def _deliver_item(self, credit: Credit) -> None:
         """Hand one landed credit to the sink (sanitizer hookpoint)."""

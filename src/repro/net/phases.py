@@ -6,9 +6,12 @@ simulator-wide convention used by all built-in components:
 ========  =======================================================
 epsilon   what runs there
 ========  =======================================================
-0         channel deliveries: flits and credits arrive
+0         channel deliveries: flits and credits arrive (one
+          delivery-wheel event per tick, see ``repro.net.channel``)
 1         terminal traffic generation (new messages appear)
-2         internal pipeline arrivals (crossbar traversal done)
+2         internal pipeline arrivals (crossbar traversal done) -- no
+          event of their own: the built-in routers land them at the
+          head of their epsilon-3 step (``Router._land_core``)
 3         router / interface cycle step (allocation, transmission)
 5         workload state machine transitions
 7         monitors and statistics sampling

@@ -15,7 +15,7 @@ treatment:
 * On the **ingress** side (the worker owning the sink device) records
   are landed between synchronization windows as one injected event per
   record, each calling the channel's ``_deliver_item`` -- the per-item
-  hook both normal delivery paths funnel through -- at
+  hook every local landing goes through -- at
   ``(due_tick, EPS_DELIVER)``.  Sanitizer shims and DetSan's delivery
   digest therefore observe a sharded delivery exactly as they observe a
   single-process one.
@@ -77,8 +77,8 @@ class _ProxyFlitChannel(Channel):
     Replicates :meth:`Channel.send_flit`'s observable state transitions
     (sink check, overdrive check, ``_next_free_tick`` pacing,
     ``flits_carried``) and appends a record to the worker's outbox
-    instead of scheduling a local delivery.  The in-flight FIFO stays
-    empty: the wire is modeled by the record stream.
+    instead of putting the flit on the delivery wheel.  The in-flight
+    count stays 0: the wire is modeled by the record stream.
     """
 
     def send_flit(self, flit: Flit) -> None:

@@ -13,15 +13,18 @@ share:
   (output port, VC) at a time),
 * a congestion sensor fed by credit/occupancy changes,
 * per-core-cycle stepping with sleep/wake so idle routers consume no
-  events.
+  events,
+* the core pipeline: a FIFO of ``(due_tick, flit, out_port[, out_vc])``
+  for flits traversing the core, landed at the head of each step.
 
 Concrete architectures implement ``_step_cycle`` (one core-clock cycle
-of allocation and transmission) and ``_has_work``.
+of allocation and transmission), ``_land_core`` and ``_has_work``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import factory
 from repro.core.clock import Clock
@@ -157,6 +160,14 @@ class Router(PortedDevice):
         # losers stay queued for the next allocation cycle.
         self._alloc_pending: List[Tuple[int, int]] = []
 
+        # Core pipeline: granted flits in grant order, each due at its
+        # grant tick + core_latency.  A router with flits in the core
+        # always has its next step scheduled, and nothing reads the
+        # output side between the arrival and that step, so the step
+        # lands every due entry first (_land_core) instead of one
+        # engine event per flit.
+        self._core_pipe: Deque[tuple] = deque()
+
         # Hot-path dispatch: _wake/_step run once per arrival/cycle, so
         # the core-clock edge math is inlined for the ubiquitous
         # period-1/phase-0 clock instead of calling into Clock.
@@ -275,6 +286,10 @@ class Router(PortedDevice):
             simulator.call_at(tick, self._step, None, EPS_STEP)
 
     def _step_cycle(self) -> None:
+        raise NotImplementedError
+
+    def _land_core(self, now: int) -> None:
+        """Move every core-pipeline flit due by ``now`` to the output side."""
         raise NotImplementedError
 
     def _has_work(self) -> bool:

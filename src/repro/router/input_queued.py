@@ -25,7 +25,7 @@ from typing import Deque, List
 from repro import factory
 from repro.core.event import Event
 from repro.net.flit import Flit
-from repro.net.phases import EPS_PIPELINE, EPS_STEP
+from repro.net.phases import EPS_STEP
 from repro.router.base import Router
 from repro.router.congestion import SOURCE_DOWNSTREAM
 from repro.router.arbiter import RoundRobinArbiter
@@ -82,6 +82,8 @@ class InputQueuedRouter(Router):
     # -- per-cycle behaviour ---------------------------------------------------
 
     def _step_cycle(self) -> None:
+        if self._core_pipe:
+            self._land_core(self.simulator.tick)
         self._drain_staging()
         self._update_input_vcs()
         self._allocate_vcs()
@@ -93,8 +95,8 @@ class InputQueuedRouter(Router):
     def _step(self, event: Event) -> None:
         """Fused per-cycle hot path.
 
-        Same stage order as :meth:`_step_cycle` (drain -> route ->
-        allocate -> crossbar) with the stage dispatch, the scheduler
+        Same stage order as :meth:`_step_cycle` (land core -> drain ->
+        route -> allocate -> crossbar) with the stage dispatch, the scheduler
         round-trip for uncontested flit-buffer grants, and the input-pop
         bookkeeping all inlined.  ``_step_cycle`` stays as the readable
         specification (and the path unit tests drive directly).
@@ -102,7 +104,9 @@ class InputQueuedRouter(Router):
         simulator = self.simulator
         now = simulator.tick
 
-        # Drain staging registers onto free channels.
+        # Land core arrivals, then drain staging onto free channels.
+        if self._core_pipe:
+            self._land_core(now)
         if self._staged_total:
             committed = self._staging_committed
             flit_out = self._flit_out
@@ -200,18 +204,11 @@ class InputQueuedRouter(Router):
         locks = scheduler._locks
         if not bidders and not locks:
             return
-        simulator = self.simulator
-        now = simulator.tick
+        now = self.simulator.tick
         trackers = self._output_credits
         sensor_record = self.sensor.record
-        call_at = simulator.call_at
-        core_arrival = self._core_arrival
-        core_latency = self.core_latency
-        if core_latency:
-            arrival_tick, arrival_eps = now + core_latency, EPS_PIPELINE
-        else:
-            arrival_tick = now
-            arrival_eps = max(EPS_PIPELINE, simulator.epsilon + 1)
+        pipe_append = self._core_pipe.append
+        arrival_tick = now + self.core_latency
         if contested or locks or not self._fb_mode:
             # Contested outputs (or locking flow control): the full
             # scheduler decides.
@@ -232,7 +229,7 @@ class InputQueuedRouter(Router):
                 sensor_record(SOURCE_DOWNSTREAM, out_port, out_vc, +1)
                 committed[out_port] += 1
                 self._committed_total += 1
-                call_at(arrival_tick, core_arrival, (flit, out_port), arrival_eps)
+                pipe_append((arrival_tick, flit, out_port))
             return
         # Flit-buffer flow control with every bidder targeting a distinct
         # output: each output arbiter sees exactly one request, so every
@@ -282,14 +279,15 @@ class InputQueuedRouter(Router):
             sensor_record(SOURCE_DOWNSTREAM, out_port, out_vc, +1)
             committed[out_port] += 1
             self._committed_total += 1
-            call_at(arrival_tick, core_arrival, (flit, out_port), arrival_eps)
+            pipe_append((arrival_tick, flit, out_port))
 
-    def _core_arrival(self, event: Event) -> None:
-        flit, out_port = event.data
-        staging = self._staging[out_port]
-        staging.append(flit)
-        if len(staging) == 1:
-            self._staged_ports.append(out_port)
-        self._staged_total += 1
-        if not self._step_scheduled:
-            self._wake()
+    def _land_core(self, now: int) -> None:
+        pipe = self._core_pipe
+        staging_regs = self._staging
+        while pipe and pipe[0][0] <= now:
+            _due, flit, out_port = pipe.popleft()
+            staging = staging_regs[out_port]
+            staging.append(flit)
+            if len(staging) == 1:
+                self._staged_ports.append(out_port)
+            self._staged_total += 1

@@ -15,18 +15,19 @@ runs parted ways -- far more actionable than "the final latencies
 differ".
 
 DetSan keeps a second, *delivery* digest alongside the event digest.
-Coalesced channel delivery (``repro.net.channel``) merges per-item
-delivery events into per-channel batches, so the executed event stream
-legitimately differs from the legacy one-event-per-item stream even
-though the simulations are identical.  The delivery digest hashes the
-*items* landing at each ``(tick, epsilon)``: item fingerprints within
-one time key are folded commutatively (count + XOR + sum), then the
-per-key bucket is chained in key order.  Two runs produce the same
+The delivery wheel (``repro.net.channel``) lands every item due at a
+tick from one event, and the sharded runtime lands each cross-shard
+item from its own, so event streams legitimately differ between
+delivery implementations that simulate identically.  The delivery
+digest hashes the *items* landing at each ``(tick, epsilon)``: item
+fingerprints within one time key are folded commutatively (count +
+XOR + sum), then the per-key bucket is chained in key order.  Two runs produce the same
 delivery digest iff every flit and credit lands on the same channel at
 the same time carrying the same identity -- regardless of how the
-deliveries were packed into events.  This is the cross-path equality
-the golden tests assert; the order-sensitive event digest remains the
-right tool for comparing two runs of the *same* code path.
+deliveries were packed into events.  This is the equality the
+committed golden tests assert (``tests/goldens.json``); the
+order-sensitive event digest remains the right tool for comparing two
+runs of the *same* code.
 
 CRC32 is deliberate: this is a fast fingerprint for diffing two runs
 the user controls, not a collision-resistant digest, and it keeps the

@@ -148,11 +148,11 @@ def test_credit_channel_latency_no_pacing(sim):
     assert sink.credits == [(7, 0, 0), (7, 0, 1)]
 
 
-# -- coalesced delivery FIFO ---------------------------------------------------
+# -- delivery wheel ------------------------------------------------------------
 
 
 def test_coalesced_fifo_keeps_one_pending_event(sim):
-    """A busy channel holds one delivery event, not one per flit."""
+    """A busy channel holds no delivery event of its own, only wheel slots."""
     sink = SinkDevice(sim, "sink")
     channel = Channel(sim, "ch", None, latency=5)
     channel.connect_sink(sink, 0)
@@ -164,9 +164,9 @@ def test_coalesced_fifo_keeps_one_pending_event(sim):
     for tick in range(3):
         sim.call_at(10 + tick, send, data=tick)
     sim.run()
-    # One send event per flit plus one self-rescheduling delivery chain:
-    # 3 sends + 3 batch firings = 6, not 3 sends + 3 scheduled deliveries
-    # + extra bookkeeping.  The observable contract is the arrival times.
+    # One send event per flit plus one wheel event per due tick:
+    # 3 sends + 3 landings = 6.  The observable contract is the arrival
+    # times.
     assert [(t, f) for t, _p, f in sink.flits] == [
         (15, flits[0]), (16, flits[1]), (17, flits[2])
     ]
@@ -196,7 +196,7 @@ def test_coalesced_pacing_overdrive_still_raises(sim):
 
 
 def test_multiple_credits_per_cycle_single_event(sim):
-    """Same-tick credits coalesce into one delivery event (piggybacking)."""
+    """Same-tick credits land from one wheel event (piggybacking)."""
     sink = SinkDevice(sim, "sink")
     channel = CreditChannel(sim, "cc", None, latency=4)
     channel.connect_sink(sink, 0)
@@ -209,12 +209,12 @@ def test_multiple_credits_per_cycle_single_event(sim):
     sim.call_at(3, send)
     sim.run()
     assert sink.credits == [(7, 0, 0), (7, 0, 1), (7, 0, 0)]
-    # The whole run: the send event plus ONE coalesced delivery event.
+    # The whole run: the send event plus ONE wheel event.
     assert sim.executed_events == 2
 
 
 def test_flit_batches_refire_per_due_tick(sim):
-    """Back-to-back sends produce one batch firing per due tick."""
+    """Back-to-back sends produce one wheel landing per due tick."""
     sink = SinkDevice(sim, "sink")
     channel = Channel(sim, "ch", None, latency=1)
     channel.connect_sink(sink, 0)
@@ -228,6 +228,70 @@ def test_flit_batches_refire_per_due_tick(sim):
 
     sim.call_at(1, send)
     sim.run()
-    # 4 sends + 4 single-item batches (dues are 1 apart, never merged).
+    # 4 sends + 4 single-item landings (dues are 1 apart, never merged).
     assert sim.executed_events == 8
     assert [t for t, _p, _f in sink.flits] == [2, 3, 4, 5]
+
+
+def test_channels_sharing_a_due_tick_land_from_one_event(sim):
+    """Different latencies, one due tick: one engine event, send order."""
+    sink = SinkDevice(sim, "sink")
+    credit_sink = SinkDevice(sim, "credit_sink")
+    channels = [Channel(sim, f"ch{latency}", None, latency=latency)
+                for latency in (9, 5, 2)]
+    credits = CreditChannel(sim, "cc", None, latency=4)
+    for channel in channels:
+        channel.connect_sink(sink, 0)
+    credits.connect_sink(credit_sink, 0)
+    flits = [make_flit() for _ in channels]
+    # Sent at ticks 1, 5 and 8; all due at tick 10.
+    for channel, flit in zip(channels, flits):
+        sim.call_at(10 - channel.latency,
+                    lambda e, c=channel, f=flit: c.send_flit(f))
+    sim.call_at(6, lambda e: credits.send_credit(Credit(1)))
+    sim.run(max_time=9)
+    assert sim.executed_events == 4  # the sends only
+    assert [c.inflight_items() for c in channels] == [1, 1, 1]
+    assert credits.inflight_items() == 1
+    sim.run()
+    assert sim.executed_events == 5  # ... plus ONE landing
+    assert sink.flits == [(10, 0, flit) for flit in flits]
+    assert credit_sink.credits == [(10, 0, 1)]
+    assert [c.inflight_items() for c in channels + [credits]] == [0] * 4
+
+
+def test_inflight_items_counts_the_wire(sim):
+    sink = SinkDevice(sim, "sink")
+    channel = Channel(sim, "ch", None, latency=4)
+    channel.connect_sink(sink, 0)
+    seen = []
+    for tick in range(3):
+        sim.call_at(tick, lambda e: channel.send_flit(make_flit()))
+    for tick in range(8):
+        sim.call_at(tick, lambda e: seen.append(channel.inflight_items()),
+                    epsilon=5)
+    sim.run()
+    # Sent at 0, 1, 2; landed at 4, 5, 6 (before epsilon 5).
+    assert seen == [1, 2, 3, 3, 2, 1, 0, 0]
+
+
+def test_busy_channel_lands_after_channels_queued_before_its_turn(sim):
+    """A busy channel joins a tick's landing when its previous tick lands.
+
+    Here ``busy`` joins tick 3 at tick 2, after ``idle`` joined it by
+    sending onto its idle wire at tick 1, although ``busy`` sent its
+    tick-3 flit first.
+    """
+    sink = SinkDevice(sim, "sink")
+    busy = Channel(sim, "busy", None, latency=2)
+    idle = Channel(sim, "idle", None, latency=2)
+    busy.connect_sink(sink, 0)
+    idle.connect_sink(sink, 0)
+    flits = {name: make_flit() for name in ("busy0", "busy1", "idle")}
+    sim.call_at(0, lambda e: busy.send_flit(flits["busy0"]))
+    sim.call_at(1, lambda e: busy.send_flit(flits["busy1"]))
+    sim.call_at(1, lambda e: idle.send_flit(flits["idle"]))
+    sim.run()
+    assert sink.flits == [
+        (2, 0, flits["busy0"]), (3, 0, flits["idle"]), (3, 0, flits["busy1"])
+    ]

@@ -1,86 +1,27 @@
-"""Golden equivalence of the two channel delivery paths.
+"""Golden delivery digests for the network-level configs.
 
-Coalesced delivery (the default) merges per-item channel events into
-per-channel batch events; the legacy path schedules one event per item.
-The two paths must produce *identical simulations*: every flit and
-credit lands on the same channel at the same (tick, epsilon), and the
-workload-level results match.  DetSan's order-commutative delivery
-digest is built exactly for this check (the order-sensitive event
-digest legitimately differs, because the event streams differ).
+Every flit and credit must land on the same channel at the same
+``(tick, epsilon)``, and every message must be delivered at the same
+tick with the same hop counts, as the committed goldens in
+``tests/goldens.json`` record (see :mod:`tests.goldens`).  DetSan's
+delivery digest is independent of how deliveries are packed into
+engine events, so the goldens stay valid across delivery-path changes.
 
-Covered on both a torus/IQ and a folded-Clos/OQ/adaptive workload --
-the two router architectures exercise disjoint send paths.
+Covered: a torus/IQ and a folded-Clos/OQ/adaptive workload (the two
+router architectures exercise disjoint send paths) plus every built-in
+benchmark config.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Settings, Simulation
-from repro.configs import latent_congestion_config
-from repro.net.channel import set_legacy_delivery
-from repro.net.packet import preserve_packet_ids
-from repro.sanitize import attach_sanitizers
-
-from tests.conftest import small_torus_config
+from tests.goldens import NETWORK_CASES, golden_run, load_goldens
 
 
-def _clos_config() -> dict:
-    return latent_congestion_config(
-        injection_rate=0.15, warmup=50, window=150, half_radix=2
-    )
-
-
-def _digest_run(config: dict, legacy: bool, max_time: int) -> dict:
-    """Run once on the requested delivery path; return comparable state.
-
-    Packet ids are process-global and feed routing decisions, so the
-    counter is restored around each run -- both paths must see the very
-    same id sequence for the comparison to be meaningful.
-    """
-    previous = set_legacy_delivery(legacy)
-    try:
-        with preserve_packet_ids():
-            simulation = Simulation(Settings.from_dict(config))
-            with attach_sanitizers(simulation, "det") as suite:
-                results = simulation.run(max_time=max_time)
-                suite.finish()
-                det = suite.report()["det"]
-            network = simulation.network
-            return {
-                "delivery_digest": det["delivery_digest"],
-                "deliveries": det["deliveries"],
-                "drained": results.drained,
-                "injected": sum(i.flits_injected for i in network.interfaces),
-                "ejected": sum(i.flits_ejected for i in network.interfaces),
-                "messages": sum(i.messages_delivered for i in network.interfaces),
-                "hops": sum(r.flits_received for r in network.routers),
-            }
-    finally:
-        set_legacy_delivery(previous)
-
-
-@pytest.mark.parametrize(
-    "name,config,max_time",
-    [
-        ("torus_iq", small_torus_config(), 20_000),
-        ("folded_clos_oq", _clos_config(), 2_000),
-    ],
-)
-def test_legacy_and_coalesced_delivery_identical(name, config, max_time):
-    legacy = _digest_run(config, legacy=True, max_time=max_time)
-    coalesced = _digest_run(config, legacy=False, max_time=max_time)
-    assert legacy["drained"] and coalesced["drained"]
-    assert legacy["deliveries"] > 0
-    assert legacy == coalesced, f"{name}: delivery paths diverged"
-
-
-def test_legacy_flag_roundtrip():
-    from repro.net.channel import legacy_delivery_enabled
-
-    baseline = legacy_delivery_enabled()
-    previous = set_legacy_delivery(not baseline)
-    assert previous == baseline
-    assert legacy_delivery_enabled() == (not baseline)
-    set_legacy_delivery(baseline)
-    assert legacy_delivery_enabled() == baseline
+@pytest.mark.parametrize("name", sorted(NETWORK_CASES))
+def test_delivery_matches_golden(name):
+    factory, max_time = NETWORK_CASES[name]
+    observed = golden_run(factory(), max_time)
+    assert observed["deliveries"] > 0
+    assert observed == load_goldens()[name], f"{name}: diverged from golden"

@@ -194,33 +194,25 @@ def test_detach_restores_patched_methods():
     from repro.net.channel import Channel, CreditChannel
     from repro.net.credit import CreditTracker
 
-    originals = (
-        Channel.send_flit,
-        Channel._deliver,
-        CreditChannel.send_credit,
-        CreditChannel._deliver,
-        CreditTracker.take,
-        CreditTracker.give,
-        Event.cancel,
-    )
-    simulation = torus_simulation()
-    with attach_sanitizers(simulation, "all"):
-        patched = (
+    def methods():
+        # Every method a sanitizer patches (MethodPatch targets).
+        return (
             Channel.send_flit,
+            Channel._deliver_item,
+            CreditChannel.send_credit,
+            CreditChannel._deliver_item,
             CreditTracker.take,
+            CreditTracker.give,
             Event.cancel,
         )
-        assert all(now is not before for now, before in
-                   zip(patched, (originals[0], originals[4], originals[6])))
-    assert (
-        Channel.send_flit,
-        Channel._deliver,
-        CreditChannel.send_credit,
-        CreditChannel._deliver,
-        CreditTracker.take,
-        CreditTracker.give,
-        Event.cancel,
-    ) == originals
+
+    originals = methods()
+    simulation = torus_simulation()
+    with attach_sanitizers(simulation, "all"):
+        assert all(
+            now is not before for now, before in zip(methods(), originals)
+        )
+    assert methods() == originals
 
 
 def test_detach_runs_even_when_violation_raises():
