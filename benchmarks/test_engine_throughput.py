@@ -72,8 +72,8 @@ def test_event_queue_throughput_no_freelist(benchmark):
     """The same workload with the event freelist disabled.
 
     ``event_pool_size=0`` allocates a fresh Event per scheduling and
-    routes execution through the general loop -- the before/after
-    comparison for the freelist + specialized-loop optimizations.
+    routes execution through the limited loop -- the before/after
+    comparison for the freelist + fast-loop optimizations.
     """
 
     def run_engine():

@@ -33,12 +33,15 @@ Performance notes (see ``docs/PERFORMANCE.md`` for the full story):
   on the executer holding the sole reference (checked via the CPython
   reference count), so an event the caller kept a handle to is never
   reused and external handles are never aliased.
-* The executer batch-drains runs of events that share one timestamp:
+* The fast loop batch-drains runs of events that share one timestamp:
   the clock and the executed-event counter are written once per run of
   equal-time events instead of once per event.
-* ``run()`` dispatches to specialized inner loops so the common cases
-  (no limits at all, or only ``max_time``) pay no per-event limit
-  bookkeeping.
+* ``run()`` has two executer loops.  The fast loop serves every run
+  whose only limit is ``max_time`` (or none): one packed-key comparison
+  per event is its whole limit test, and it ends on ``heappop``'s
+  ``IndexError`` instead of testing the queue per event.  The limited
+  loop serves ``max_events``, ``max_seconds``, ``event_pool_size=0``
+  and attached sanitizer suites, whose hooks it calls per event.
 * Lazy-deleted (cancelled) queue entries are counted, and the heap is
   compacted in place when the dead fraction crosses a threshold, so
   cancellation-heavy workloads cannot grow the queue unboundedly.
@@ -71,6 +74,8 @@ _EPS_MASK = EPSILON_LIMIT - 1
 #: heap comparisons on CPython's fast machine-word path.  Larger ticks
 #: stay *correct* (Python ints never wrap) but compare slower.
 TICK_FAST_LIMIT = 1 << (63 - EPSILON_BITS)
+#: the largest packed key that still fits a machine word.
+_FAST_KEY_LIMIT = (TICK_FAST_LIMIT << EPSILON_BITS) - 1
 
 
 class SimulationError(RuntimeError):
@@ -95,9 +100,9 @@ class Simulator:
     Args:
         event_pool_size: maximum number of fired events kept for reuse
             across runs.  ``0`` disables the freelist entirely and
-            routes execution through the general (unspecialized) loop --
-            the pre-optimization behaviour, mainly useful for
-            benchmarking the optimizations themselves.
+            routes execution through the limited loop -- the
+            pre-optimization behaviour, mainly useful for benchmarking
+            the optimizations themselves.
     """
 
     __slots__ = (
@@ -138,8 +143,8 @@ class Simulator:
         self._observers: List[Callable[["Simulator"], None]] = []
         # Runtime sanitizer suite (repro.sanitize).  None in normal runs:
         # the only cost of the hook is one attribute test per run() call,
-        # never per event.  When set, run() routes through the
-        # instrumented executer so the suite sees every event.
+        # never per event.  When set, run() routes through the limited
+        # loop, which calls the suite's hooks for every event.
         self._sanitizer = None
         # The channels' network-wide delivery wheel
         # (repro.net.channel.DeliveryWheel), created by the first channel.
@@ -344,18 +349,21 @@ class Simulator:
 
         * ``max_time``: stop before executing any event past this tick.
         * ``max_events``: stop after executing this many events *in this
-          call* (resumed runs get a fresh budget).
+          call* (resumed runs get a fresh budget); ``0`` executes
+          nothing, a negative budget raises :class:`SimulationError`.
         * ``max_seconds``: stop after this much wall-clock time, counted
           from this call.
 
         Returns the final simulation time.
         """
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"max_events must be >= 0, got {max_events}")
         if max_time is None:
-            limit_tick, limit_epsilon = None, 0
+            limit_key = None
         elif isinstance(max_time, TimeStep):
-            limit_tick, limit_epsilon = max_time.tick, max_time.epsilon
+            limit_key = (max_time.tick << EPSILON_BITS) | max_time.epsilon
         else:
-            limit_tick, limit_epsilon = int(max_time), 0
+            limit_key = int(max_time) << EPSILON_BITS
         deadline = (
             _wallclock.monotonic() + max_seconds if max_seconds is not None else None
         )
@@ -368,19 +376,15 @@ class Simulator:
         if gc_was_enabled:
             _gc.disable()
         try:
-            if self._sanitizer is not None:
-                self._run_sanitized(limit_tick, limit_epsilon, max_events, deadline)
-            elif (
-                max_events is None
+            if (
+                self._sanitizer is None
+                and max_events is None
                 and deadline is None
                 and self._event_pool_size > 0
             ):
-                if limit_tick is None:
-                    self._run_unbounded()
-                else:
-                    self._run_time_limited(limit_tick, limit_epsilon)
+                self._run_fast(limit_key)
             else:
-                self._run_general(limit_tick, limit_epsilon, max_events, deadline)
+                self._run_limited(limit_key, max_events, deadline)
         finally:
             self._running = False
             if gc_was_enabled:
@@ -441,19 +445,28 @@ class Simulator:
             )
         return self.call_at(tick, handler, data, epsilon)
 
-    def _run_unbounded(self) -> None:
-        """Drain the queue with no limit checks (the common case).
+    def _run_fast(self, limit_key: Optional[int]) -> None:
+        """Drain the queue up to packed key ``limit_key`` (``None``: until
+        empty): the loop every run without an event/clock budget, a
+        sanitizer suite or a disabled freelist takes.
 
-        The loop terminates through ``heappop`` raising ``IndexError``
-        on the empty queue, which saves an emptiness test per event; an
-        ``IndexError`` escaping a *handler* is told apart by its
-        traceback (the handler adds a frame) and re-raised.
+        One packed-key comparison per event implements the whole limit
+        test; an unbounded run compares against the largest machine-word
+        key and, past it, simply raises its ceiling (big-int keys are
+        correct, only slower).  The loop terminates through ``heappop``
+        raising ``IndexError`` on the empty queue, which saves an
+        emptiness test per event; an ``IndexError`` escaping a *handler*
+        is told apart by its traceback (the handler adds a frame) and
+        re-raised.
         """
         queue = self._queue
         pop = heapq.heappop
         pool = self._event_pool
         refs = _getrefcount
         executed = self._executed_events
+        bounded = limit_key is not None
+        if not bounded:
+            limit_key = _FAST_KEY_LIMIT
         key = -1
         try:
             while True:
@@ -464,6 +477,12 @@ class Simulator:
                         event.cancelled = False
                         pool.append(event)
                     continue
+                if entry_key > limit_key:
+                    if bounded:
+                        # Put it back; the caller may resume later.
+                        heapq.heappush(queue, (entry_key, _seq, event))
+                        break
+                    limit_key = entry_key  # unbounded: raise the ceiling
                 if entry_key != key:
                     # New (tick, epsilon) batch: write the clock and the
                     # event counter once for the whole run of equal-time
@@ -486,128 +505,32 @@ class Simulator:
             self._executed_events = executed
             del pool[self._event_pool_size :]
 
-    def _run_time_limited(self, limit_tick: int, limit_epsilon: int) -> None:
-        """Drain up to (limit_tick, limit_epsilon); no event/clock limits.
-
-        One packed-key comparison per event implements the whole limit
-        test.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        pool = self._event_pool
-        refs = _getrefcount
-        executed = self._executed_events
-        limit_key = (limit_tick << EPSILON_BITS) | limit_epsilon
-        key = -1
-        try:
-            while True:
-                entry_key, _seq, event = pop(queue)
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    if refs(event) == 2:
-                        event.cancelled = False
-                        pool.append(event)
-                    continue
-                if entry_key > limit_key:
-                    # Put it back; the caller may resume later.
-                    heapq.heappush(queue, (entry_key, _seq, event))
-                    break
-                if entry_key != key:
-                    key = entry_key
-                    self.tick = key >> EPSILON_BITS
-                    self.epsilon = key & _EPS_MASK
-                    self._now_key = key
-                    self._executed_events = executed
-                event.fired = True
-                event.handler(event)
-                executed += 1
-                if refs(event) == 2:
-                    pool.append(event)
-        except IndexError:
-            if queue or _raised_from_handler():
-                raise
-        finally:
-            self._executed_events = executed
-            del pool[self._event_pool_size :]
-
-    def _run_general(
+    def _run_limited(
         self,
-        limit_tick: Optional[int],
-        limit_epsilon: int,
+        limit_key: Optional[int],
         max_events: Optional[int],
         deadline: Optional[float],
     ) -> None:
-        """Full-featured loop: any combination of time/event/clock limits.
+        """The full-featured executer: any combination of time, event and
+        wall-clock limits, a bounded (or disabled) freelist, and the
+        attached sanitizer suite's hooks (see :mod:`repro.sanitize`).
 
-        Both the ``max_events`` budget and the wall-clock check cadence
-        are based on the number of events executed *in this call*, so a
-        resumed run gets a fresh budget and checks the clock on a steady
-        1024-event cadence regardless of history.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        pool = self._event_pool
-        pool_max = self._event_pool_size
-        refs = _getrefcount
-        executed_this_run = 0
-        check_mask = 0x3FF  # test wall clock every 1024 events
-        limit_key = (
-            None
-            if limit_tick is None
-            else (limit_tick << EPSILON_BITS) | limit_epsilon
-        )
-        while queue:
-            entry_key, _seq, event = pop(queue)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                if refs(event) == 2 and len(pool) < pool_max:
-                    event.cancelled = False
-                    pool.append(event)
-                continue
-            if limit_key is not None and entry_key > limit_key:
-                # Put it back; the caller may resume later.
-                heapq.heappush(queue, (entry_key, _seq, event))
-                break
-            self.tick = entry_key >> EPSILON_BITS
-            self.epsilon = entry_key & _EPS_MASK
-            self._now_key = entry_key
-            event.fired = True
-            event.handler(event)
-            self._executed_events += 1
-            executed_this_run += 1
-            if refs(event) == 2 and len(pool) < pool_max:
-                pool.append(event)
-            if max_events is not None and executed_this_run >= max_events:
-                break
-            if (
-                deadline is not None
-                and (executed_this_run & check_mask) == 0
-                and _wallclock.monotonic() > deadline
-            ):
-                break
-
-    def _run_sanitized(
-        self,
-        limit_tick: Optional[int],
-        limit_epsilon: int,
-        max_events: Optional[int],
-        deadline: Optional[float],
-    ) -> None:
-        """The instrumented executer used when a sanitizer suite is
-        attached (see :mod:`repro.sanitize`).
-
-        Semantically identical to :meth:`_run_general` -- same limits,
-        same recycling discipline, same execution order -- but invokes
-        the suite's hooks: ``pre_event_hooks`` right before each handler
-        runs (with the clock already advanced) and ``recycle_hooks``
-        right before an event object is parked in the freelist (so
-        :class:`~repro.sanitize.EventSan` can poison it).  The ordinary
-        loops never pay for any of this: ``run()`` only dispatches here
-        while ``_sanitizer`` is set.
+        Same execution order and recycling discipline as
+        :meth:`_run_fast`, with the clock and counter written per event.
+        ``pre_event_hooks`` run right before each handler (the clock
+        already advanced) and ``recycle_hooks`` right before an event
+        object is parked in the freelist (so
+        :class:`~repro.sanitize.EventSan` can poison it); both are empty
+        when no suite is attached.  The ``max_events`` budget and the
+        wall-clock check cadence count events executed *in this call*,
+        so a resumed run gets a fresh budget and checks the clock every
+        1024 events regardless of history.
         """
         suite = self._sanitizer
-        pre_hooks = tuple(suite.pre_event_hooks)
-        recycle_hooks = tuple(suite.recycle_hooks)
+        pre_hooks = recycle_hooks = ()
+        if suite is not None:
+            pre_hooks = tuple(suite.pre_event_hooks)
+            recycle_hooks = tuple(suite.recycle_hooks)
         queue = self._queue
         pop = heapq.heappop
         pool = self._event_pool
@@ -615,12 +538,7 @@ class Simulator:
         refs = _getrefcount
         executed_this_run = 0
         check_mask = 0x3FF  # test wall clock every 1024 events
-        limit_key = (
-            None
-            if limit_tick is None
-            else (limit_tick << EPSILON_BITS) | limit_epsilon
-        )
-        while queue:
+        while queue and (max_events is None or executed_this_run < max_events):
             entry_key, _seq, event = pop(queue)
             if event.cancelled:
                 self._cancelled_pending -= 1
@@ -647,8 +565,6 @@ class Simulator:
                 for hook in recycle_hooks:
                     hook(event)
                 pool.append(event)
-            if max_events is not None and executed_this_run >= max_events:
-                break
             if (
                 deadline is not None
                 and (executed_this_run & check_mask) == 0

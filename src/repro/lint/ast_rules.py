@@ -7,8 +7,9 @@ User workload/model/example modules can silently break that contract
 -- and, worse, break it *differently per worker* once ``sssweep`` fans
 jobs out across spawned processes.
 
-D001..D004 are AST checks over source files; they never import or
-execute the code under scan.  D005 is the one runtime check: it
+D001..D004 are AST checks over source files (scanned once per file by
+:mod:`repro.lint.source`); they never import or execute the code under
+scan.  D005 is the one runtime check: it
 pickles the exact payload tuples a parallel sweep would ship to worker
 processes, reporting failures *before* any worker spawns (the task
 runner would otherwise fall back to inline execution, silently
@@ -17,132 +18,12 @@ serializing the whole sweep).
 
 from __future__ import annotations
 
-import ast
 import pickle
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro import factory
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import DETERMINISM_LAYER, LintContext, LintRule
-
-# Module-global RNG entry points (both stdlib and legacy numpy).  The
-# seeded-construction entry points are deliberately excluded.
-_RANDOM_SAFE = {
-    "random.Random",
-    "random.SystemRandom",
-    "numpy.random.default_rng",
-    "numpy.random.Generator",
-    "numpy.random.SeedSequence",
-    "numpy.random.RandomState",
-}
-
-_TIME_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
-
-
-class SourceScan:
-    """One parsed source file plus its categorized determinism hazards."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.parse_error: Optional[str] = None
-        #: (line, dotted name) calls into module-global RNG state.
-        self.random_calls: List[Tuple[int, str]] = []
-        #: (line, dotted name) wall-clock reads.
-        self.time_calls: List[Tuple[int, str]] = []
-        #: (line, variable names) ``global`` statements inside functions.
-        self.global_stmts: List[Tuple[int, Tuple[str, ...]]] = []
-        #: (line, description) lambda/local callables handed to a sweep.
-        self.lambda_payloads: List[Tuple[int, str]] = []
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            tree = ast.parse(source, filename=path)
-        except (OSError, SyntaxError, ValueError) as exc:
-            self.parse_error = str(exc)
-            return
-        self._scan(tree)
-
-    # -- scanning ------------------------------------------------------------
-
-    def _scan(self, tree: ast.AST) -> None:
-        aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for item in node.names:
-                    aliases[item.asname or item.name.split(".")[0]] = item.name
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for item in node.names:
-                    aliases[item.asname or item.name] = (
-                        f"{node.module}.{item.name}"
-                    )
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                self._scan_call(node, aliases)
-            elif isinstance(node, ast.Global):
-                self.global_stmts.append((node.lineno, tuple(node.names)))
-
-    def _scan_call(self, node: ast.Call, aliases: Dict[str, str]) -> None:
-        name = _resolve(node.func, aliases)
-        if name is not None:
-            if (
-                name.startswith(("random.", "numpy.random."))
-                and name not in _RANDOM_SAFE
-            ):
-                self.random_calls.append((node.lineno, name))
-            elif name in _TIME_CALLS:
-                self.time_calls.append((node.lineno, name))
-        # Lambdas handed to a sweep: unpicklable, so a parallel run
-        # cannot ship them to workers.
-        simple = _last_component(node.func)
-        for keyword in node.keywords:
-            if keyword.arg == "collect" and isinstance(
-                keyword.value, ast.Lambda
-            ):
-                self.lambda_payloads.append(
-                    (keyword.value.lineno, "lambda passed as collect=")
-                )
-        if simple is not None and "sweep" in simple.lower():
-            for arg in node.args:
-                if isinstance(arg, ast.Lambda):
-                    self.lambda_payloads.append(
-                        (arg.lineno, f"lambda passed to {simple}()")
-                    )
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
-
-
-def _resolve(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
-    """Dotted call target with the first component expanded via imports."""
-    name = _dotted(node)
-    if name is None:
-        return None
-    head, _, rest = name.partition(".")
-    head = aliases.get(head, head)
-    return f"{head}.{rest}" if rest else head
-
-
-def _last_component(node: ast.expr) -> Optional[str]:
-    name = _dotted(node)
-    return name.rsplit(".", 1)[-1] if name else None
-
 
 # ---------------------------------------------------------------------------
 # AST rules
@@ -161,30 +42,17 @@ class UnseededRandomRule(_AstRule):
                    "generators")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        findings = []
-        for scan in ctx.source_scans():
-            if scan.parse_error is not None:
-                findings.append(
-                    Finding(
-                        "D001",
-                        Severity.WARNING,
-                        f"could not parse source file (skipped): "
-                        f"{scan.parse_error}",
-                        location=scan.path,
-                    )
-                )
-                continue
-            for line, name in scan.random_calls:
-                findings.append(
-                    Finding(
-                        "D001",
-                        Severity.WARNING,
-                        f"call to {name}() uses module-global RNG state; "
-                        f"draw from a RandomManager generator instead",
-                        location=f"{scan.path}:{line}",
-                    )
-                )
-        return findings
+        return ctx.parse_failures("D001") + [
+            Finding(
+                "D001",
+                Severity.WARNING,
+                f"call to {name}() uses module-global RNG state; "
+                f"draw from a RandomManager generator instead",
+                location=f"{scan.path}:{line}",
+            )
+            for scan in ctx.source_files()
+            for line, name in scan.random_calls
+        ]
 
 
 @factory.register(LintRule, "D002")
@@ -202,8 +70,7 @@ class WallClockRule(_AstRule):
                 f"behavior must depend only on simulator ticks",
                 location=f"{scan.path}:{line}",
             )
-            for scan in ctx.source_scans()
-            if scan.parse_error is None
+            for scan in ctx.source_files()
             for line, name in scan.time_calls
         ]
 
@@ -224,8 +91,7 @@ class GlobalMutationRule(_AstRule):
                 f"copy and the mutations are lost",
                 location=f"{scan.path}:{line}",
             )
-            for scan in ctx.source_scans()
-            if scan.parse_error is None
+            for scan in ctx.source_files()
             for line, names in scan.global_stmts
         ]
 
@@ -245,8 +111,7 @@ class LambdaPayloadRule(_AstRule):
                 f"processes; define a module-level function instead",
                 location=f"{scan.path}:{line}",
             )
-            for scan in ctx.source_scans()
-            if scan.parse_error is None
+            for scan in ctx.source_files()
             for line, description in scan.lambda_payloads
         ]
 

@@ -3,11 +3,12 @@
 The runtime sanitizers (:mod:`repro.sanitize`) catch contract
 violations *while they corrupt a run*; the E-rules catch the same
 hazard patterns in model source before anything runs.  They are pure
-AST checks -- the scanned code is never imported or executed -- and
-deliberately heuristic: names like ``schedule``/``call_at`` and
-``_credits`` are matched structurally, trading a small false-positive
-surface (warnings, not errors, wherever the pattern has legitimate
-uses) for zero-setup coverage of user model code.
+AST checks (scanned by :mod:`repro.lint.source`) -- the scanned code is
+never imported or executed -- and deliberately heuristic: names like
+``schedule``/``call_at`` and ``_credits`` are matched structurally,
+trading a small false-positive surface (warnings, not errors, wherever
+the pattern has legitimate uses) for zero-setup coverage of user model
+code.
 
 The contracts, and who enforces them at runtime:
 
@@ -35,219 +36,11 @@ The contracts, and who enforces them at runtime:
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable
 
 from repro import factory
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import DATAFLOW_LAYER, LintContext, LintRule
-
-#: methods whose return value is a live Event handle.
-SCHED_METHODS = {"call_at", "schedule", "schedule_at", "add_event"}
-#: positional index of the absolute-time argument (``schedule`` takes a
-#: relative delay and auto-bumps epsilon at delay 0, so it is exempt
-#: from the same-tick check).
-_TIME_ARG_POS = {"call_at": 0, "schedule_at": 1, "add_event": 1}
-_TIME_ARG_KEYWORDS = {"time", "tick"}
-#: positional index of the epsilon argument per scheduling method.
-_EPSILON_ARG_POS = {"call_at": 3, "schedule": 1, "schedule_at": 2,
-                    "add_event": 2}
-
-_EPSILON_LIMIT = 1 << 20  # mirrors core/simulator.py EPSILON_BITS
-
-#: CreditTracker internals (E005) and Event engine fields (E006).
-_CREDIT_INTERNALS = {"_credits", "_capacity"}
-_EVENT_ENGINE_FIELDS = {"fired", "cancelled", "generation"}
-
-
-def _sched_method(node: ast.expr) -> Optional[str]:
-    """The scheduling-method name when ``node`` is ``<expr>.sched(...)``."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in SCHED_METHODS:
-            return node.func.attr
-    return None
-
-
-def _argument(call: ast.Call, position: int, keywords: set) -> Optional[ast.expr]:
-    for keyword in call.keywords:
-        if keyword.arg in keywords:
-            return keyword.value
-    if position < len(call.args):
-        return call.args[position]
-    return None
-
-
-def _const_int(node: Optional[ast.expr]) -> Optional[int]:
-    """Fold the tiny constant-expression grammar epsilons are written in:
-    plain ints, unary +/-, and the arithmetic/shift operators (so
-    ``epsilon=1 << 20`` and ``epsilon=-1`` are still seen as constants).
-    """
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int) and not isinstance(node.value, bool):
-            return node.value
-        return None
-    if isinstance(node, ast.UnaryOp) and isinstance(
-        node.op, (ast.USub, ast.UAdd)
-    ):
-        value = _const_int(node.operand)
-        if value is None:
-            return None
-        return -value if isinstance(node.op, ast.USub) else value
-    if isinstance(node, ast.BinOp):
-        left = _const_int(node.left)
-        right = _const_int(node.right)
-        if left is None or right is None:
-            return None
-        try:
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.LShift):
-                return left << right
-            if isinstance(node.op, ast.Pow):
-                return left**right
-        except (OverflowError, ValueError):
-            return None
-    return None
-
-
-def _unparse(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is best-effort context
-        return "<expr>"
-
-
-class DataflowScan:
-    """One parsed source file plus its categorized dataflow hazards."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.parse_error: Optional[str] = None
-        #: (line, target, method) sched result assigned to a self attribute.
-        self.handle_on_self: List[Tuple[int, str, str]] = []
-        #: (line, description) sched result pushed into a container.
-        self.handle_in_container: List[Tuple[int, str]] = []
-        #: (line, method, time expression) same-tick scheduling with
-        #: default/zero epsilon.
-        self.same_tick_zero_eps: List[Tuple[int, str, str]] = []
-        #: (line, method, epsilon value) epsilon outside [0, 2**20).
-        self.bad_epsilon: List[Tuple[int, str, int]] = []
-        #: (line, target) writes to CreditTracker internals.
-        self.credit_mutations: List[Tuple[int, str]] = []
-        #: (line, target) writes to Event engine-owned fields.
-        self.event_field_writes: List[Tuple[int, str]] = []
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            tree = ast.parse(source, filename=path)
-        except (OSError, SyntaxError, ValueError) as exc:
-            self.parse_error = str(exc)
-            return
-        self._scan(tree)
-
-    # -- scanning ------------------------------------------------------------
-
-    def _scan(self, tree: ast.AST) -> None:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                self._scan_assign(node.targets, node.value, node.lineno)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-                value = node.value
-                self._scan_assign(targets, value, node.lineno)
-            elif isinstance(node, ast.Call):
-                self._scan_call(node)
-
-    def _scan_assign(
-        self,
-        targets: List[ast.expr],
-        value: Optional[ast.expr],
-        line: int,
-    ) -> None:
-        method = _sched_method(value) if value is not None else None
-        for target in targets:
-            if method is not None:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    self.handle_on_self.append(
-                        (line, _unparse(target), method)
-                    )
-                elif isinstance(target, ast.Subscript):
-                    self.handle_in_container.append(
-                        (line, f"{method}() result stored into "
-                               f"{_unparse(target)}")
-                    )
-            self._scan_protected_write(target, line)
-
-    def _scan_protected_write(self, target: ast.expr, line: int) -> None:
-        """E005/E006: the written location reaches a protected field."""
-        # `tracker._credits[vc] = x` writes through a Subscript whose
-        # value is the protected Attribute; unwrap to find it.
-        node = target
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if not isinstance(node, ast.Attribute):
-            return
-        base_is_self = (
-            isinstance(node.value, ast.Name) and node.value.id == "self"
-        )
-        if base_is_self:
-            # The owning class maintaining its own fields is the API.
-            return
-        if node.attr in _CREDIT_INTERNALS:
-            self.credit_mutations.append((line, _unparse(target)))
-        elif node.attr in _EVENT_ENGINE_FIELDS:
-            self.event_field_writes.append((line, _unparse(target)))
-
-    def _scan_call(self, call: ast.Call) -> None:
-        # Containers: list.append(self.schedule(...)) and friends.
-        if isinstance(call.func, ast.Attribute) and call.func.attr in (
-            "append",
-            "appendleft",
-            "add",
-            "insert",
-        ):
-            for arg in call.args:
-                method = _sched_method(arg)
-                if method is not None:
-                    self.handle_in_container.append(
-                        (call.lineno,
-                         f"{method}() result passed to "
-                         f"{_unparse(call.func)}()")
-                    )
-        method = _sched_method(call)
-        if method is None:
-            return
-        epsilon = _argument(
-            call, _EPSILON_ARG_POS[method], {"epsilon"}
-        )
-        epsilon_value = _const_int(epsilon)
-        if epsilon_value is not None and not (
-            0 <= epsilon_value < _EPSILON_LIMIT
-        ):
-            self.bad_epsilon.append((call.lineno, method, epsilon_value))
-        if method in _TIME_ARG_POS:
-            time_arg = _argument(
-                call, _TIME_ARG_POS[method], _TIME_ARG_KEYWORDS
-            )
-            if (
-                isinstance(time_arg, ast.Attribute)
-                and time_arg.attr == "tick"
-                and (epsilon is None or epsilon_value == 0)
-            ):
-                self.same_tick_zero_eps.append(
-                    (call.lineno, method, _unparse(time_arg))
-                )
-
 
 # ---------------------------------------------------------------------------
 # Rules
@@ -256,11 +49,6 @@ class DataflowScan:
 
 class _DataflowRule(LintRule):
     layer = DATAFLOW_LAYER
-
-    def _clean_scans(self, ctx: LintContext):
-        return [
-            scan for scan in ctx.dataflow_scans() if scan.parse_error is None
-        ]
 
 
 @factory.register(LintRule, "E001")
@@ -271,33 +59,19 @@ class HandleOnSelfRule(_DataflowRule):
                    "or don't retain it")
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:
-        findings = []
-        for scan in ctx.dataflow_scans():
-            if scan.parse_error is not None:
-                findings.append(
-                    Finding(
-                        "E001",
-                        Severity.WARNING,
-                        f"could not parse source file (skipped): "
-                        f"{scan.parse_error}",
-                        location=scan.path,
-                    )
-                )
-                continue
-            for line, target, method in scan.handle_on_self:
-                findings.append(
-                    Finding(
-                        "E001",
-                        Severity.WARNING,
-                        f"{method}() handle stored on `{target}`; after the "
-                        f"event fires the object may be recycled for an "
-                        f"unrelated event (generation changes), so the "
-                        f"handle must be cleared inside the handler before "
-                        f"any later cancel()",
-                        location=f"{scan.path}:{line}",
-                    )
-                )
-        return findings
+        return ctx.parse_failures("E001") + [
+            Finding(
+                "E001",
+                Severity.WARNING,
+                f"{method}() handle stored on `{target}`; after the event "
+                f"fires the object may be recycled for an unrelated event "
+                f"(generation changes), so the handle must be cleared "
+                f"inside the handler before any later cancel()",
+                location=f"{scan.path}:{line}",
+            )
+            for scan in ctx.source_files()
+            for line, target, method in scan.handle_on_self
+        ]
 
 
 @factory.register(LintRule, "E002")
@@ -316,7 +90,7 @@ class HandleInContainerRule(_DataflowRule):
                 f"event object",
                 location=f"{scan.path}:{line}",
             )
-            for scan in self._clean_scans(ctx)
+            for scan in ctx.source_files()
             for line, description in scan.handle_in_container
         ]
 
@@ -340,7 +114,7 @@ class SameTickEpsilonRule(_DataflowRule):
                 f"delay 0, which auto-bumps epsilon",
                 location=f"{scan.path}:{line}",
             )
-            for scan in self._clean_scans(ctx)
+            for scan in ctx.source_files()
             for line, method, time_expr in scan.same_tick_zero_eps
         ]
 
@@ -362,7 +136,7 @@ class EpsilonRangeRule(_DataflowRule):
                 f"they do not carry time)",
                 location=f"{scan.path}:{line}",
             )
-            for scan in self._clean_scans(ctx)
+            for scan in ctx.source_files()
             for line, method, value in scan.bad_epsilon
         ]
 
@@ -384,7 +158,7 @@ class CreditInternalsRule(_DataflowRule):
                 f"credit conservation (the CreditSan invariant)",
                 location=f"{scan.path}:{line}",
             )
-            for scan in self._clean_scans(ctx)
+            for scan in ctx.source_files()
             for line, target in scan.credit_mutations
         ]
 
@@ -406,6 +180,6 @@ class EventEngineFieldsRule(_DataflowRule):
                 f"and schedule a new event instead of resurrecting this one",
                 location=f"{scan.path}:{line}",
             )
-            for scan in self._clean_scans(ctx)
+            for scan in ctx.source_files()
             for line, target in scan.event_field_writes
         ]

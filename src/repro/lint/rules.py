@@ -37,8 +37,8 @@ Each rule belongs to one *layer*:
 
 A :class:`LintContext` carries the inputs and memoizes the expensive
 shared work (the schema walk, the network construction and channel
-dependency trace, the parsed ASTs) so each layer pays its cost once no
-matter how many rules consume it.
+dependency trace, the one parse-and-scan per source file) so each layer
+pays its cost once no matter how many rules consume it.
 """
 
 from __future__ import annotations
@@ -47,15 +47,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro import factory
 from repro.config.settings import Settings
-from repro.lint.findings import Finding, LintReport
+from repro.lint.findings import Finding, LintReport, Severity
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.lint.ast_rules import SourceScan
-    from repro.lint.dataflow_rules import DataflowScan
     from repro.lint.graph import GraphAnalysis
-    from repro.lint.partition_rules import PartitionAnalysis, PartitionScan
+    from repro.lint.partition_rules import PartitionAnalysis
     from repro.lint.perf_rules import PerfAnalysis
     from repro.lint.shard_rules import ShardAnalysis
+    from repro.lint.source import SourceFile
 
 CONFIG_LAYER = "config"
 GRAPH_LAYER = "graph"
@@ -111,10 +110,9 @@ class LintContext:
         self.profile_path = profile_path
         self._schema_findings: Optional[List[Finding]] = None
         self._graph: Optional["GraphAnalysis"] = None
-        self._scans: Optional[List["SourceScan"]] = None
-        self._dataflow_scans: Optional[List["DataflowScan"]] = None
+        self._sources: Optional[List["SourceFile"]] = None
+        self._parse_failures_reported = False
         self._partition: Optional["PartitionAnalysis"] = None
-        self._partition_scans: Optional[List["PartitionScan"]] = None
         self._shard: Optional["ShardAnalysis"] = None
         self._perf: Optional["PerfAnalysis"] = None
 
@@ -140,23 +138,33 @@ class LintContext:
             self._graph = GraphAnalysis(self.settings, max_pairs=self.max_pairs)
         return self._graph
 
-    def source_scans(self) -> List["SourceScan"]:
-        """Parsed-AST scans of every requested source file."""
-        if self._scans is None:
-            from repro.lint.ast_rules import SourceScan
+    def source_files(self) -> List["SourceFile"]:
+        """The requested source files that parsed, each parsed and
+        scanned once for every D-, E- and P-rule hazard."""
+        if self._sources is None:
+            from repro.lint.source import SourceFile
 
-            self._scans = [SourceScan(path) for path in self.source_paths]
-        return self._scans
+            self._sources = [SourceFile(path) for path in self.source_paths]
+        return [source for source in self._sources if source.parse_error is None]
 
-    def dataflow_scans(self) -> List["DataflowScan"]:
-        """Dataflow-hazard AST scans of every requested source file."""
-        if self._dataflow_scans is None:
-            from repro.lint.dataflow_rules import DataflowScan
-
-            self._dataflow_scans = [
-                DataflowScan(path) for path in self.source_paths
-            ]
-        return self._dataflow_scans
+    def parse_failures(self, rule_id: str) -> List[Finding]:
+        """One warning per source file that did not parse, issued once
+        per lint run: the first source-layer rule to ask reports them
+        under its own ``rule_id``, later askers get none."""
+        if self._parse_failures_reported:
+            return []
+        self._parse_failures_reported = True
+        self.source_files()
+        return [
+            Finding(
+                rule_id,
+                Severity.WARNING,
+                f"could not parse source file (skipped): {source.parse_error}",
+                location=source.path,
+            )
+            for source in self._sources
+            if source.parse_error is not None
+        ]
 
     def partition(self) -> "PartitionAnalysis":
         """Component graph + manifest (planned or provided) + checks."""
@@ -165,16 +173,6 @@ class LintContext:
 
             self._partition = PartitionAnalysis(self)
         return self._partition
-
-    def partition_scans(self) -> List["PartitionScan"]:
-        """Shard-isolation AST scans of every requested source file."""
-        if self._partition_scans is None:
-            from repro.lint.partition_rules import PartitionScan
-
-            self._partition_scans = [
-                PartitionScan(path) for path in self.source_paths
-            ]
-        return self._partition_scans
 
     def shard(self) -> "ShardAnalysis":
         """Shard-purity verdicts for the configured model classes."""

@@ -17,8 +17,12 @@ share:
 * the core pipeline: a FIFO of ``(due_tick, flit, out_port[, out_vc])``
   for flits traversing the core, landed at the head of each step.
 
-Concrete architectures implement ``_step_cycle`` (one core-clock cycle
-of allocation and transmission), ``_land_core`` and ``_has_work``.
+The step contract: :meth:`Router._step` is the one engine event per
+busy core cycle.  It owns sleep/wake and rescheduling, and calls the
+architecture's one per-cycle hook, ``_cycle()``, which lands the core
+pipeline (``_land_core``), drains the output side, routes, allocates
+and runs the crossbar, then returns whether work remains.  A router
+with no work sleeps until a flit or credit arrival wakes it.
 """
 
 from __future__ import annotations
@@ -274,29 +278,26 @@ class Router(PortedDevice):
         simulator.call_at(tick, self._step, None, EPS_STEP)
 
     def _step(self, event: Event) -> None:
-        self._step_scheduled = False
-        self._step_cycle()
-        if self._has_work():
-            self._step_scheduled = True
+        # _step_scheduled stays set through the cycle, so nothing the
+        # cycle triggers can schedule a second step for this tick.
+        if self._cycle():
             simulator = self.simulator
             if self._core_period1:
                 tick = simulator.tick + 1
             else:
                 tick = self.core_clock.following_edge(simulator.tick)
             simulator.call_at(tick, self._step, None, EPS_STEP)
+        else:
+            self._step_scheduled = False
 
-    def _step_cycle(self) -> None:
+    def _cycle(self) -> bool:
+        """One core-clock cycle (land core -> drain -> route -> allocate
+        -> crossbar); returns whether work remains."""
         raise NotImplementedError
 
     def _land_core(self, now: int) -> None:
         """Move every core-pipeline flit due by ``now`` to the output side."""
         raise NotImplementedError
-
-    def _has_work(self) -> bool:
-        raise NotImplementedError
-
-    def _any_input_flits(self) -> bool:
-        return bool(self._occupied_inputs)
 
     # -- shared input-VC machinery ------------------------------------------------------
 

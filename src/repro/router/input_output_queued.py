@@ -81,7 +81,7 @@ class InputOutputQueuedRouter(Router):
         self._fb_mode = self.scheduler.flow_control == FLIT_BUFFER
         # Flits sitting in output queues per port (drain-stage fast path).
         self._queued_count = [0] * self.num_ports
-        # Sum over _queued_count, so _has_work is O(1).
+        # Sum over _queued_count: an O(1) work test for _cycle.
         self._queued_total = 0
 
     def _output_queue_credits(self, out_port: int, out_vc: int) -> int:
@@ -97,15 +97,13 @@ class InputOutputQueuedRouter(Router):
 
     # -- per-cycle behaviour ------------------------------------------------------
 
-    def _step_cycle(self) -> None:
+    def _cycle(self) -> bool:
         if self._core_pipe:
             self._land_core(self.simulator.tick)
         self._drain_outputs()
         self._update_input_vcs()
         self._allocate_vcs()
         self._run_crossbar()
-
-    def _has_work(self) -> bool:
         return (
             bool(self._occupied_inputs)
             or bool(self._core_pipe)

@@ -23,9 +23,7 @@ from collections import deque
 from typing import Deque, List
 
 from repro import factory
-from repro.core.event import Event
 from repro.net.flit import Flit
-from repro.net.phases import EPS_STEP
 from repro.router.base import Router
 from repro.router.congestion import SOURCE_DOWNSTREAM
 from repro.router.arbiter import RoundRobinArbiter
@@ -63,7 +61,7 @@ class InputQueuedRouter(Router):
         self._staging: List[Deque[Flit]] = [deque() for _ in range(self.num_ports)]
         # Committed staging slots per port: staged + in flight through core.
         self._staging_committed = [0] * self.num_ports
-        # Sum over _staging_committed, so _has_work is O(1).
+        # Sum over _staging_committed: an O(1) work test for _cycle.
         self._committed_total = 0
         # Flits actually sitting in staging registers (vs. in the core):
         # lets the drain stage skip its port scan entirely when zero.
@@ -81,30 +79,11 @@ class InputQueuedRouter(Router):
 
     # -- per-cycle behaviour ---------------------------------------------------
 
-    def _step_cycle(self) -> None:
-        if self._core_pipe:
-            self._land_core(self.simulator.tick)
-        self._drain_staging()
-        self._update_input_vcs()
-        self._allocate_vcs()
-        self._run_crossbar()
-
-    def _has_work(self) -> bool:
-        return bool(self._occupied_inputs) or self._committed_total > 0
-
-    def _step(self, event: Event) -> None:
-        """Fused per-cycle hot path.
-
-        Same stage order as :meth:`_step_cycle` (land core -> drain ->
-        route -> allocate -> crossbar) with the stage dispatch, the scheduler
-        round-trip for uncontested flit-buffer grants, and the input-pop
-        bookkeeping all inlined.  ``_step_cycle`` stays as the readable
-        specification (and the path unit tests drive directly).
-        """
-        simulator = self.simulator
-        now = simulator.tick
-
-        # Land core arrivals, then drain staging onto free channels.
+    def _cycle(self) -> bool:
+        """Land core arrivals, drain staging onto free channels, route,
+        allocate, and run the crossbar; the drain is inlined and every
+        stage is skipped on a truth test when it has nothing to do."""
+        now = self.simulator.tick
         if self._core_pipe:
             self._land_core(now)
         if self._staged_total:
@@ -130,53 +109,15 @@ class InputQueuedRouter(Router):
             self._staged_ports_spare = ports
             self._staged_ports = keep
 
-        # Route new head packets, then claim output VCs.
         if self._route_pending:
             self._update_input_vcs()
         if self._alloc_pending:
             self._allocate_vcs()
 
-        # Crossbar.
         occupied = self._occupied_inputs
-        scheduler = self.scheduler
-        if occupied or scheduler._locks:
+        if occupied or self.scheduler._locks:
             self._run_crossbar()
-
-        # Reschedule while work remains, else sleep until woken.
-        if occupied or self._committed_total:
-            if self._core_period1:
-                tick = now + 1
-            else:
-                tick = self.core_clock.following_edge(now)
-            simulator.call_at(tick, self._step, None, EPS_STEP)
-        else:
-            self._step_scheduled = False
-
-    def _drain_staging(self) -> None:
-        if self._staged_total == 0:
-            return
-        committed = self._staging_committed
-        flit_out = self._flit_out
-        staging_regs = self._staging
-        tick = self.simulator.tick
-        keep = self._staged_ports_spare
-        ports = self._staged_ports
-        for port in ports:
-            staging = staging_regs[port]
-            channel = flit_out[port]
-            if tick >= channel._next_free_tick:
-                committed[port] -= 1
-                self._committed_total -= 1
-                self._staged_total -= 1
-                # Credit was taken at grant time: send without re-taking.
-                channel.send_flit(staging.popleft())
-                self.flits_sent += 1
-                if not staging:
-                    continue
-            keep.append(port)
-        ports.clear()
-        self._staged_ports_spare = ports
-        self._staged_ports = keep
+        return bool(occupied) or self._committed_total > 0
 
     def _run_crossbar(self) -> None:
         input_vcs = self._input_vcs

@@ -60,7 +60,7 @@ class OutputQueuedRouter(Router):
         ]
         # Flits actually sitting in queues per port (drain-stage fast path).
         self._queued_count = [0] * self.num_ports
-        # Sum over _committed, so _has_work is O(1).
+        # Sum over _committed: an O(1) work test for _cycle.
         self._committed_total = 0
         arbiter_settings = self.settings.child("output_arbiter", default={})
         self._output_arbiters: List[Arbiter] = [
@@ -81,7 +81,7 @@ class OutputQueuedRouter(Router):
 
     # -- per-cycle behaviour -----------------------------------------------------
 
-    def _step_cycle(self) -> None:
+    def _cycle(self) -> bool:
         if self._core_pipe:
             self._land_core(self.simulator.tick)
         self._drain_outputs()
@@ -90,8 +90,6 @@ class OutputQueuedRouter(Router):
         # routing stage feeds for _allocate_vcs-based architectures.
         self._alloc_pending.clear()
         self._allocate_and_move()
-
-    def _has_work(self) -> bool:
         return bool(self._occupied_inputs) or self._committed_total > 0
 
     def _drain_outputs(self) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import Settings, Simulation
@@ -11,6 +13,32 @@ from repro.core.simulator import Simulator
 @pytest.fixture
 def simulator():
     return Simulator()
+
+
+class BareSimulation:
+    """Just enough of the Simulation surface for network-less sanitizers."""
+
+    def __init__(self, simulator: Simulator):
+        self.simulator = simulator
+
+
+#: ``Simulator.run`` has two executer loops: a bare run without an
+#: event/clock budget takes the fast one, a run with a sanitizer suite
+#: attached always takes the limited one.
+EXECUTER_LOOPS = ("bare", "sanitized")
+
+
+@contextlib.contextmanager
+def executer(loop: str, **simulator_kwargs):
+    """A fresh simulator, bare or with a sanitizer suite attached."""
+    from repro.sanitize import attach_sanitizers
+
+    simulator = Simulator(**simulator_kwargs)
+    if loop == "bare":
+        yield simulator
+        return
+    with attach_sanitizers(BareSimulation(simulator), "event"):
+        yield simulator
 
 
 def small_torus_config(**workload_overrides) -> dict:

@@ -25,6 +25,7 @@ from repro.core.simulator import (
     SimulationError,
     Simulator,
 )
+from tests.conftest import EXECUTER_LOOPS, executer
 
 
 def _noop(event):
@@ -79,34 +80,41 @@ def test_ordering_at_the_epsilon_boundary():
 
 def test_ticks_beyond_the_fast_limit_stay_correct():
     """Keys past 63 bits compare slower but must still sort exactly."""
-    simulator = Simulator()
-    order = []
     big = TICK_FAST_LIMIT  # first tick whose packed key leaves 63 bits
-    simulator.call_at(big + 1, lambda e: order.append("big+1"))
-    simulator.call_at(big, lambda e: order.append("big-eps"),
-                      epsilon=EPSILON_LIMIT - 1)
-    simulator.call_at(big, lambda e: order.append("big"))
-    simulator.call_at(big - 1, lambda e: order.append("fast"),
-                      epsilon=EPSILON_LIMIT - 1)
-    result = simulator.run()
-    assert order == ["fast", "big", "big-eps", "big+1"]
-    assert result.tick == big + 1
+    for loop in EXECUTER_LOOPS:
+        with executer(loop) as simulator:
+            order = []
+            simulator.call_at(big + 1, lambda e: order.append("big+1"))
+            simulator.call_at(big, lambda e: order.append("big-eps"),
+                              epsilon=EPSILON_LIMIT - 1)
+            simulator.call_at(big, lambda e: order.append("big"))
+            simulator.call_at(big - 1, lambda e: order.append("fast"),
+                              epsilon=EPSILON_LIMIT - 1)
+            result = simulator.run()
+            assert order == ["fast", "big", "big-eps", "big+1"], loop
+            assert result.tick == big + 1, loop
 
 
 def test_scheduling_across_the_fast_boundary_from_a_handler():
-    """Relative delays that cross 2**43 keep exact causality."""
-    simulator = Simulator()
-    seen = []
+    """Relative delays that cross 2**43 keep exact causality, and a
+    ``max_time`` past the boundary still bounds the run."""
+    for loop in EXECUTER_LOOPS:
+        with executer(loop) as simulator:
+            seen = []
 
-    def hop(event):
-        seen.append(simulator.tick)
-        if len(seen) < 3:
-            simulator.call_at(simulator.tick + TICK_FAST_LIMIT // 2, hop)
+            def hop(event, simulator=simulator, seen=seen):
+                seen.append(simulator.tick)
+                if len(seen) < 3:
+                    simulator.call_at(
+                        simulator.tick + TICK_FAST_LIMIT // 2, hop
+                    )
 
-    simulator.call_at(TICK_FAST_LIMIT - 1, hop)
-    simulator.run()
-    assert seen == [
-        TICK_FAST_LIMIT - 1,
-        TICK_FAST_LIMIT - 1 + TICK_FAST_LIMIT // 2,
-        TICK_FAST_LIMIT - 1 + TICK_FAST_LIMIT,
-    ]
+            simulator.call_at(TICK_FAST_LIMIT - 1, hop)
+            simulator.run(max_time=TICK_FAST_LIMIT + TICK_FAST_LIMIT // 2)
+            assert len(seen) == 2, loop
+            simulator.run()
+            assert seen == [
+                TICK_FAST_LIMIT - 1,
+                TICK_FAST_LIMIT - 1 + TICK_FAST_LIMIT // 2,
+                TICK_FAST_LIMIT - 1 + TICK_FAST_LIMIT,
+            ], loop

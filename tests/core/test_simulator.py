@@ -6,6 +6,7 @@ from repro.core.component import Component
 from repro.core.event import Event
 from repro.core.simtime import TimeStep
 from repro.core.simulator import SimulationError, Simulator
+from tests.conftest import EXECUTER_LOOPS, executer
 
 
 def test_events_execute_in_time_order(simulator):
@@ -100,23 +101,43 @@ def test_event_data_payload(simulator):
     assert seen == [{"x": 1}]
 
 
-def test_run_max_time_pauses_and_resumes(simulator):
-    order = []
-    simulator.call_at(10, lambda e: order.append("a"))
-    simulator.call_at(50, lambda e: order.append("b"))
-    simulator.run(max_time=20)
-    assert order == ["a"]
-    assert simulator.queue_size == 1
-    simulator.run()
-    assert order == ["a", "b"]
+def test_run_max_time_pauses_and_resumes():
+    for loop in EXECUTER_LOOPS:
+        with executer(loop) as simulator:
+            order = []
+            simulator.call_at(10, lambda e: order.append("a"))
+            simulator.call_at(20, lambda e: order.append("edge"), epsilon=1)
+            simulator.call_at(50, lambda e: order.append("b"))
+            simulator.run(max_time=20)
+            assert order == ["a"], loop
+            assert simulator.queue_size == 2, loop
+            simulator.run()
+            assert order == ["a", "edge", "b"], loop
 
 
-def test_run_max_events(simulator):
-    order = []
-    for tick in (1, 2, 3, 4):
-        simulator.call_at(tick, lambda e, t=tick: order.append(t))
-    simulator.run(max_events=2)
-    assert order == [1, 2]
+def test_run_max_events():
+    for loop in EXECUTER_LOOPS:
+        with executer(loop) as simulator:
+            order = []
+            for tick in (1, 2, 3, 4):
+                simulator.call_at(tick, lambda e, t=tick: order.append(t))
+            simulator.run(max_events=2)
+            assert order == [1, 2], loop
+
+
+@pytest.mark.parametrize("loop", EXECUTER_LOOPS)
+def test_max_events_zero_runs_nothing_and_negative_raises(loop):
+    with executer(loop) as simulator:
+        for tick in range(1, 6):
+            simulator.call_at(tick, lambda e: None)
+        simulator.run(max_events=0)
+        assert simulator.executed_events == 0
+        assert simulator.pending_events == 5
+        with pytest.raises(SimulationError, match="max_events"):
+            simulator.run(max_events=-1)
+        assert simulator.executed_events == 0
+        simulator.run(max_events=5)
+        assert simulator.executed_events == 5
 
 
 def test_executed_events_counter(simulator):
@@ -223,18 +244,20 @@ def test_manual_compact_reports_dropped(simulator):
 # -- per-run limit semantics ---------------------------------------------------
 
 
-def test_max_events_budget_is_per_run(simulator):
-    order = []
-    for tick in range(1, 7):
-        simulator.call_at(tick, lambda e, t=tick: order.append(t))
-    simulator.run(max_events=2)
-    assert order == [1, 2]
-    # A resumed run gets a fresh budget, not the leftovers of a global
-    # counter.
-    simulator.run(max_events=2)
-    assert order == [1, 2, 3, 4]
-    simulator.run()
-    assert order == [1, 2, 3, 4, 5, 6]
+def test_max_events_budget_is_per_run():
+    for loop in EXECUTER_LOOPS:
+        with executer(loop) as simulator:
+            order = []
+            for tick in range(1, 7):
+                simulator.call_at(tick, lambda e, t=tick: order.append(t))
+            simulator.run(max_events=2)
+            assert order == [1, 2], loop
+            # A resumed run gets a fresh budget, not the leftovers of a
+            # global counter.
+            simulator.run(max_events=2)
+            assert order == [1, 2, 3, 4], loop
+            simulator.run()
+            assert order == [1, 2, 3, 4, 5, 6], loop
 
 
 def test_max_seconds_generous_deadline_completes(simulator):
@@ -258,27 +281,35 @@ def test_epsilon_beyond_packed_limit_rejected(simulator):
 
 
 def test_pool_disabled_never_recycles():
-    simulator = Simulator(event_pool_size=0)
-    for i in range(10):
-        simulator.call_at(i + 1, lambda e: None)
-    simulator.run()
-    assert simulator.recycled_events == 0
-    assert simulator.executed_events == 10
+    for loop in EXECUTER_LOOPS:
+        with executer(loop, event_pool_size=0) as simulator:
+            for i in range(10):
+                simulator.call_at(i + 1, lambda e: None)
+            simulator.call_at(20, lambda e: None).cancel()
+            simulator.run()
+            assert simulator.recycled_events == 0, loop
+            assert simulator.executed_events == 10, loop
 
 
-def test_index_error_in_handler_propagates(simulator):
+def test_index_error_in_handler_propagates():
     def bad(event):
         [].pop()
 
-    simulator.call_at(1, bad)
-    with pytest.raises(IndexError):
-        simulator.run()
+    for loop in EXECUTER_LOOPS:
+        with executer(loop) as simulator:
+            simulator.call_at(1, bad)
+            simulator.call_at(2, lambda e: None)
+            with pytest.raises(IndexError):
+                simulator.run()
+            assert simulator.pending_events == 1, loop
 
 
-def test_index_error_in_handler_propagates_with_max_time(simulator):
+def test_index_error_in_handler_propagates_with_max_time():
     def bad(event):
         raise IndexError("from handler")
 
-    simulator.call_at(1, bad)
-    with pytest.raises(IndexError, match="from handler"):
-        simulator.run(max_time=100)
+    for loop in EXECUTER_LOOPS:
+        with executer(loop) as simulator:
+            simulator.call_at(1, bad)
+            with pytest.raises(IndexError, match="from handler"):
+                simulator.run(max_time=100)

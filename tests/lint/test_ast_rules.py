@@ -85,11 +85,10 @@ def test_unparseable_file_is_reported_not_raised(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def broken(:\n")
     report = lint_sources([str(path)])
-    # One parse finding per AST layer (determinism D001, dataflow E001),
-    # not one per rule.
-    assert _ids(report) == ["D001", "E001"]
-    for finding in report.findings:
-        assert "could not parse" in finding.message
+    # One parse finding per file, not one per source layer or rule: the
+    # first requested layer (determinism) reports it.
+    assert _ids(report) == ["D001"]
+    assert "could not parse" in report.findings[0].message
 
 
 def test_unpicklable_collect_fails_d005():

@@ -133,11 +133,35 @@ def test_clean_model_has_no_dataflow_findings(tmp_path):
 def test_parse_error_reported_once_not_per_rule(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def broken(:\n")
-    report = lint_sources([str(path)])
-    e_findings = [f for f in report.findings if f.rule_id.startswith("E")]
-    assert len(e_findings) == 1
-    assert e_findings[0].rule_id == "E001"
-    assert "could not parse" in e_findings[0].message
+    # Whichever source layers run, the file is reported exactly once, by
+    # the first layer's parse-reporting rule.
+    for layers, rule_id in [
+        (["dataflow"], "E001"),
+        (["partition"], "P006"),
+        (["dataflow", "partition"], "E001"),
+        (["determinism", "dataflow", "partition"], "D001"),
+    ]:
+        report = lint_sources([str(path)], layers=layers)
+        assert [f.rule_id for f in report.findings] == [rule_id], layers
+        assert "could not parse" in report.findings[0].message
+
+
+def test_source_layers_parse_each_file_once(tmp_path, monkeypatch):
+    import ast
+
+    paths = [_write(tmp_path, "clean", CLEAN_SOURCE),
+             _write(tmp_path, "mutant", MUTATIONS["E001"])]
+    parses = []
+    real_parse = ast.parse
+    monkeypatch.setattr(
+        ast, "parse",
+        lambda source, filename="<unknown>", *args, **kwargs: (
+            parses.append(filename) or real_parse(source, filename, *args, **kwargs)
+        ),
+    )
+    report = lint_sources(paths)
+    assert "E001" in [f.rule_id for f in report.findings]
+    assert sorted(parses) == sorted(paths)
 
 
 def test_rule_catalog_includes_dataflow_layer():

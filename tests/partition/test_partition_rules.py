@@ -3,8 +3,8 @@
 The manifest rules (P001..P005) are exercised by planning a known-good
 manifest for a builtin config, tampering with one aspect, and asserting
 that exactly the right rule fires.  The shard-isolation AST rules
-(P006..P008) are exercised DataflowScan-style: small source snippets,
-one hazard each, checked for the expected rule id.
+(P006..P008) are exercised like the dataflow rules: small source
+snippets, one hazard each, checked for the expected rule id.
 """
 
 from __future__ import annotations

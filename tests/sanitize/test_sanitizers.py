@@ -19,15 +19,8 @@ from repro.sanitize import (
     attach_sanitizers,
 )
 
-from tests.conftest import small_torus_config
+from tests.conftest import BareSimulation, small_torus_config
 from tests.sanitize.fixtures import broken_models  # noqa: F401 - registers fixtures
-
-
-class BareSimulation:
-    """Just enough of the Simulation surface for network-less sanitizers."""
-
-    def __init__(self, simulator: Simulator):
-        self.simulator = simulator
 
 
 def torus_simulation(**network_overrides) -> Simulation:
